@@ -62,31 +62,20 @@ pub fn classify(
         .map(|c| c.bind(table.schema()))
         .collect::<CfdResult<_>>()?;
 
-    let mut constrained: Vec<usize> = bound
-        .iter()
-        .flat_map(|b| b.lhs_cols.iter().copied().chain(std::iter::once(b.rhs_col)))
-        .collect();
-    constrained.sort_unstable();
-    constrained.dedup();
+    let constrained = constrained_columns(&bound);
 
     // Pass 1: which rows/cells are implicated, and on which side of the
-    // majority they sit.
-    #[derive(Default, Clone, Copy)]
-    struct Involvement {
-        in_single: bool,
-        in_multi_minority: bool,
-        in_multi_majority: bool,
-    }
-    let mut row_inv: HashMap<RowId, Involvement> = HashMap::new();
-    let mut cell_inv: HashMap<(RowId, usize), Involvement> = HashMap::new();
+    // majority they sit (`IN_*` bits).
+    let mut row_inv: HashMap<RowId, u8> = HashMap::new();
+    let mut cell_inv: HashMap<(RowId, usize), u8> = HashMap::new();
 
     for v in &report.violations {
         let b = &bound[v.cfd_idx];
         match &v.kind {
             ViolationKind::SingleTuple { row } => {
-                row_inv.entry(*row).or_default().in_single = true;
+                *row_inv.entry(*row).or_default() |= IN_SINGLE;
                 for &c in b.lhs_cols.iter().chain(std::iter::once(&b.rhs_col)) {
-                    cell_inv.entry((*row, c)).or_default().in_single = true;
+                    *cell_inv.entry((*row, c)).or_default() |= IN_SINGLE;
                 }
             }
             ViolationKind::MultiTuple { rows, .. } => {
@@ -96,20 +85,14 @@ pub fn classify(
                     *counts.entry(val).or_default() += 1;
                 }
                 for (row, val) in rows.iter() {
-                    let majority = counts[val] * 2 > total;
-                    let inv = row_inv.entry(*row).or_default();
-                    if majority {
-                        inv.in_multi_majority = true;
+                    let side = if counts[val] * 2 > total {
+                        IN_MAJORITY
                     } else {
-                        inv.in_multi_minority = true;
-                    }
+                        IN_MINORITY
+                    };
+                    *row_inv.entry(*row).or_default() |= side;
                     for &c in b.lhs_cols.iter().chain(std::iter::once(&b.rhs_col)) {
-                        let ci = cell_inv.entry((*row, c)).or_default();
-                        if majority {
-                            ci.in_multi_majority = true;
-                        } else {
-                            ci.in_multi_minority = true;
-                        }
+                        *cell_inv.entry((*row, c)).or_default() |= side;
                     }
                 }
             }
@@ -130,19 +113,11 @@ pub fn classify(
             }
         }
         let inv = row_inv.get(&id).copied().unwrap_or_default();
-        let class = grade(
-            (inv.in_single, inv.in_multi_minority, inv.in_multi_majority),
-            verified_row,
-        );
-        tuples.insert(id, class);
+        tuples.insert(id, grade(inv, verified_row));
 
         for &c in &constrained {
             let ci = cell_inv.get(&(id, c)).copied().unwrap_or_default();
-            let cell_class = grade(
-                (ci.in_single, ci.in_multi_minority, ci.in_multi_majority),
-                verified_cells.contains(&c),
-            );
-            cells.insert((id, c), cell_class);
+            cells.insert((id, c), grade(ci, verified_cells.contains(&c)));
         }
     }
 
@@ -153,13 +128,31 @@ pub fn classify(
     })
 }
 
-fn grade(
-    (in_single, in_multi_minority, in_multi_majority): (bool, bool, bool),
-    verified: bool,
-) -> CleanClass {
-    if in_single || in_multi_minority {
+/// Involvement bit: the row or cell is in a single-tuple violation.
+pub(crate) const IN_SINGLE: u8 = 1;
+/// Involvement bit: in a multi-tuple violation, outside its RHS majority.
+pub(crate) const IN_MINORITY: u8 = 2;
+/// Involvement bit: in a multi-tuple violation, on its strict RHS majority.
+pub(crate) const IN_MAJORITY: u8 = 4;
+
+/// Every column any of `bound` reads (LHS or RHS), sorted and distinct.
+pub(crate) fn constrained_columns(bound: &[BoundCfd]) -> Vec<usize> {
+    let mut cols: Vec<usize> = bound
+        .iter()
+        .flat_map(|b| b.lhs_cols.iter().copied().chain(std::iter::once(b.rhs_col)))
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
+/// The class policy for a row or cell with `involvement` bits (`IN_*`),
+/// `verified` when a constant-RHS CFD applies to it and holds. Shared by
+/// [`classify`] and the counting [`crate::quality_report`].
+pub(crate) fn grade(involvement: u8, verified: bool) -> CleanClass {
+    if involvement & (IN_SINGLE | IN_MINORITY) != 0 {
         CleanClass::Dirty
-    } else if in_multi_majority {
+    } else if involvement & IN_MAJORITY != 0 {
         CleanClass::ArguablyClean
     } else if verified {
         CleanClass::VerifiedClean

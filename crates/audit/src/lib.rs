@@ -7,7 +7,9 @@
 //! * [`stats`] — min/avg/max of `vio(t)`, histograms, group-size stats;
 //! * [`quality_map`] — the tuple-level shading of Fig. 3;
 //! * [`report`] — the assembled Fig. 4 report (attribute bar chart +
-//!   per-CFD pie + headline numbers);
+//!   per-CFD pie + headline numbers), counted in one pass over a row
+//!   stream: O(live rows × constant-RHS CFDs + violation members), with
+//!   no per-cell map — [`classify`] is the per-cell API it agrees with;
 //! * [`charts`] — plain-text bar / stacked-bar / pie renderers.
 
 #![warn(missing_docs)]

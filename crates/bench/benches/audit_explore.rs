@@ -15,7 +15,7 @@ fn audit_costs(c: &mut Criterion) {
         let t = w.db.table("customer").unwrap();
         let report = detect_native(t, &w.cfds).unwrap();
         group.bench_with_input(BenchmarkId::new("quality_report", rows), &rows, |b, _| {
-            b.iter(|| quality_report(t, &w.cfds, &report).unwrap())
+            b.iter(|| quality_report(t.schema(), t.iter(), &w.cfds, &report).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("quality_map", rows), &rows, |b, _| {
             b.iter(|| quality_map(t, &report))

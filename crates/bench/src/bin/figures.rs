@@ -81,7 +81,7 @@ fn main() {
     if wanted("fig4") {
         println!("=== Figure 4: data quality report ===");
         let table = w.db.table("customer").unwrap();
-        let audit = quality_report(table, &w.cfds, &report).unwrap();
+        let audit = quality_report(table.schema(), table.iter(), &w.cfds, &report).unwrap();
         print!("{}", audit.render());
         println!();
     }

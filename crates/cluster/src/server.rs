@@ -665,23 +665,28 @@ impl ShardedQualityServer {
 
     /// Data auditor over the sharded relation: the Fig. 4 quality report,
     /// built on the merged scatter/gather detection report (runs a detect
-    /// first if no report is cached) over the materialized union of the
-    /// shards — `normalized()`-identical inputs to the single-node
-    /// auditor, so dirty fractions agree exactly.
+    /// first if no report is cached). The auditor borrows the cached
+    /// report and streams every shard's rows in place — rows carry their
+    /// global ids, so the counts equal the single-node auditor's over the
+    /// union of the shards, with no merged table, sort or report clone.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
-        let report = match &self.last_report {
-            Some(r) => r.clone(),
-            None => self.detect()?,
-        };
-        let merged = self.merged_table()?;
-        quality_report(&merged, &self.cfds, &report)
+        if self.last_report.is_none() {
+            self.detect()?;
+        }
+        let report = self.last_report.as_ref().expect("detect caches its report");
+        quality_report(
+            &self.schema,
+            self.shards.iter().flat_map(|s| s.table.iter()),
+            &self.cfds,
+            report,
+        )
     }
 
     /// Materialize the union of the shards as one table, every row under
     /// its global id — exactly the table a single-node server over the
-    /// same data would hold. O(rows); used by the auditor and by
-    /// conformance checks, not by detection (which exchanges compact
-    /// per-group partials instead).
+    /// same data would hold. O(rows); for tests, examples and conformance
+    /// checks only — neither detection (which exchanges compact per-group
+    /// partials) nor the auditor (which streams the shards) builds it.
     pub fn merged_table(&self) -> CfdResult<Table> {
         let mut rows: Vec<(RowId, &[Value])> =
             self.shards.iter().flat_map(|s| s.table.iter()).collect();
@@ -1011,19 +1016,68 @@ mod tests {
         );
     }
 
+    /// The whole quality report — classes, attribute fractions, per-CFD
+    /// counts and statistics — equals the single-node auditor's over the
+    /// same rows, for 1, 2 and 4 shards, before and after a seeded stream
+    /// of cell edits, deletes and inserts applied to both sides.
     #[test]
     fn audit_matches_single_node_dirty_fraction() {
         let d = datagen::dirty_customers(400, 0.06, 50);
-        let t = d.db.table("customer").unwrap();
-        let mut c =
-            ShardedQualityServer::partition(t, 4, Box::new(HashRouter::new(vec![1]))).unwrap();
-        c.register_cfds(d.cfds.clone()).unwrap();
-        let sharded = c.audit().unwrap();
-        let single =
-            audit::quality_report(t, &d.cfds, &detect_columnar(t, &d.cfds).unwrap()).unwrap();
-        assert_eq!(sharded.tuples, single.tuples);
-        assert_eq!(sharded.tuple_classes, single.tuple_classes);
-        assert_eq!(sharded.dirty_fraction(), single.dirty_fraction());
+        let single = |t: &Table| {
+            let report = detect_columnar(t, &d.cfds).unwrap();
+            audit::quality_report(t.schema(), t.iter(), &d.cfds, &report).unwrap()
+        };
+        for n in [1usize, 2, 4] {
+            let mut t = d.db.table("customer").unwrap().clone();
+            let mut c =
+                ShardedQualityServer::partition(&t, n, Box::new(HashRouter::new(vec![1]))).unwrap();
+            c.register_cfds(d.cfds.clone()).unwrap();
+            assert_eq!(
+                c.audit().unwrap(),
+                single(&t),
+                "{n} shards, before mutations"
+            );
+
+            // xorshift64, same seed for every shard count.
+            let mut state = 0x5eed_0050_u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as usize
+            };
+            let mut deletes = 0;
+            for _ in 0..80 {
+                let ids = t.row_ids();
+                let id = ids[next() % ids.len()];
+                match next() % 5 {
+                    0 => {
+                        t.delete(id).unwrap();
+                        c.delete(id).unwrap();
+                        deletes += 1;
+                    }
+                    1 => {
+                        let donor = t.get(id).unwrap().to_vec();
+                        assert_eq!(t.insert(donor.clone()).unwrap(), c.insert(donor).unwrap());
+                    }
+                    _ => {
+                        // A CFD column (CNT, CITY, ZIP, CC) takes another
+                        // row's value.
+                        let col = [1, 2, 3, 5][next() % 4];
+                        let from = ids[next() % ids.len()];
+                        let v = t.cell(from, col).unwrap().clone();
+                        t.update_cell(id, col, v.clone()).unwrap();
+                        c.update_cell(id, col, v).unwrap();
+                    }
+                }
+            }
+            assert!(deletes > 0, "the stream must leave tombstones");
+            assert_eq!(
+                c.audit().unwrap(),
+                single(&t),
+                "{n} shards, after mutations"
+            );
+        }
     }
 
     #[test]

@@ -294,11 +294,8 @@ impl QualityBackend for DataMonitor {
 
     fn audit(&mut self) -> CfdResult<QualityReport> {
         let report = self.detector.report();
-        quality_report(
-            self.db.table(&self.relation).map_err(db_err)?,
-            &self.cfds,
-            &report,
-        )
+        let table = self.db.table(&self.relation).map_err(db_err)?;
+        quality_report(table.schema(), table.iter(), &self.cfds, &report)
     }
 
     fn last_report(&self) -> Option<ViolationReport> {

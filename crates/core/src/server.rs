@@ -330,30 +330,34 @@ impl QualityServer {
         self.last_report.as_ref()
     }
 
-    fn require_report(&mut self) -> CfdResult<ViolationReport> {
-        match &self.last_report {
-            Some(r) => Ok(r.clone()),
-            None => self.detect(),
+    /// The table, the constraints and the cached detection report
+    /// (detecting first when none is cached), borrowed together — the
+    /// report is never cloned to serve an audit, map or inspection.
+    fn with_report(&mut self) -> CfdResult<(&Table, &[cfd::Cfd], &ViolationReport)> {
+        if self.last_report.is_none() {
+            self.detect()?;
         }
+        let report = self.last_report.as_ref().expect("detect caches its report");
+        Ok((self.table()?, self.engine.cfds(), report))
     }
 
     /// Data auditor: the Fig. 4 quality report.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
-        let report = self.require_report()?;
-        quality_report(self.table()?, self.engine.cfds(), &report)
+        let (table, cfds, report) = self.with_report()?;
+        quality_report(table.schema(), table.iter(), cfds, report)
     }
 
     /// Data auditor: the Fig. 3 quality map.
     pub fn map(&mut self) -> CfdResult<QualityMap> {
-        let report = self.require_report()?;
-        Ok(quality_map(self.table()?, &report))
+        let (table, _, report) = self.with_report()?;
+        Ok(quality_map(table, report))
     }
 
     /// Data explorer: open the Fig. 2 navigation over the cached report.
     /// (Runs detection first if needed.)
     pub fn navigate(&mut self) -> CfdResult<(ViolationReport, Vec<cfd::Cfd>)> {
-        let report = self.require_report()?;
-        Ok((report, self.engine.cfds().to_vec()))
+        let (_, cfds, report) = self.with_report()?;
+        Ok((report.clone(), cfds.to_vec()))
     }
 
     /// Convenience for examples/tests: build a navigation session over
@@ -369,8 +373,8 @@ impl QualityServer {
 
     /// Data explorer: reverse inspection of one tuple.
     pub fn inspect(&mut self, row: RowId) -> CfdResult<Vec<CfdRelevance>> {
-        let report = self.require_report()?;
-        inspect_tuple(self.table()?, self.engine.cfds(), &report, row)
+        let (table, cfds, report) = self.with_report()?;
+        inspect_tuple(table, cfds, report, row)
     }
 
     /// Data cleanser: run batch repair; invalidates the cached report.

@@ -27,8 +27,9 @@
 //! always exactly the epoch's detect answer.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use api::wire::{dispatch, AuditSummary, ReportSummary, Response};
 use api::{Capabilities, QualityBackend, Request};
@@ -61,12 +62,21 @@ pub struct EpochState {
 
 /// Capture the current [`EpochState`] off the backend, mirroring exactly
 /// how [`api::wire::dispatch`] builds each response.
+/// `net_epoch_capture_ns`: one sample per captured epoch (epoch 0
+/// included), the capture cost an operator watches for a writer falling
+/// behind. The handle is resolved once per process.
+fn capture_ns() -> &'static obs::Histogram {
+    static HIST: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
+    HIST.get_or_init(|| obs::histogram("net_epoch_capture_ns"))
+}
+
 fn capture<B: QualityBackend>(backend: &mut B, epoch: u64, writes_applied: u64) -> EpochState {
     fn err(e: CfdError) -> Response {
         Response::Error {
             message: e.to_string(),
         }
     }
+    let started = Instant::now();
     let detect = match backend.detect() {
         Ok(report) => Response::Report(ReportSummary::of(&report)),
         Err(e) => err(e),
@@ -78,7 +88,7 @@ fn capture<B: QualityBackend>(backend: &mut B, epoch: u64, writes_applied: u64) 
     // After the refresh above, the cached report *is* this epoch's
     // detect answer (when detection succeeded).
     let last_report = backend.last_report().map(|r| ReportSummary::of(&r));
-    EpochState {
+    let state = EpochState {
         epoch,
         writes_applied,
         caps: backend.capabilities(),
@@ -86,7 +96,9 @@ fn capture<B: QualityBackend>(backend: &mut B, epoch: u64, writes_applied: u64) 
         audit,
         last_report,
         len: backend.len(),
-    }
+    };
+    capture_ns().record(started.elapsed().as_nanos() as u64);
+    state
 }
 
 /// One queued unit of writer work.

@@ -62,7 +62,7 @@ fn main() {
     }
 
     // ---- Figure 4: the data quality report -------------------------------
-    let audit = quality_report(table, &w.cfds, &report).unwrap();
+    let audit = quality_report(table.schema(), table.iter(), &w.cfds, &report).unwrap();
     println!("\n-- Fig 4: data quality report --");
     print!("{}", audit.render());
 

@@ -6,11 +6,14 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use semandaq::api::{Request, Response};
 use semandaq::cluster::{RoundRobinRouter, ShardedQualityServer};
 use semandaq::colstore::{
     detect_cached, detect_columnar, detect_on_snapshot_threads, Snapshot, SnapshotCache,
 };
 use semandaq::datagen::dirty_customers;
+use semandaq::minidb::{RowId, Value};
+use semandaq::net::{ConcurrentEngine, EngineConfig};
 use semandaq::repair::{batch_repair, RepairConfig};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -200,5 +203,45 @@ fn repair_round_and_change_counters_match_the_result() {
         changes.get() - c0,
         result.changes.len() as u64,
         "changes metric == change-list length"
+    );
+}
+
+/// `net_epoch_capture_ns` gets exactly one sample per captured epoch:
+/// the initial epoch 0 plus every epoch the writer published, the
+/// shutdown drain included.
+#[test]
+fn capture_histogram_counts_every_epoch() {
+    let _g = lock();
+    let captures = semandaq::obs::histogram("net_epoch_capture_ns");
+    let n0 = captures.count();
+
+    let d = dirty_customers(200, 0.05, 315);
+    let t = d.db.table("customer").unwrap();
+    let mut cluster =
+        ShardedQualityServer::partition(t, 2, Box::new(RoundRobinRouter::default())).unwrap();
+    cluster.register_cfds(d.cfds.clone()).unwrap();
+    let engine = ConcurrentEngine::new(cluster, EngineConfig::default());
+    let handle = engine.handle().unwrap();
+    let donor: Vec<Value> = t.iter().next().unwrap().1.to_vec();
+    for i in 0..5u64 {
+        let write = if i % 2 == 0 {
+            Request::Insert { row: donor.clone() }
+        } else {
+            Request::UpdateCell {
+                row: RowId(i),
+                col: 2,
+                value: Value::str(format!("CITY{i}")),
+            }
+        };
+        assert!(!matches!(handle.request(write), Response::Error { .. }));
+    }
+    engine.shutdown();
+
+    let epochs = handle.epoch();
+    assert!(epochs >= 5, "every acknowledged write published an epoch");
+    assert_eq!(
+        captures.count() - n0,
+        epochs + 1,
+        "one capture sample per epoch, epoch 0 included"
     );
 }
