@@ -11,12 +11,11 @@ use audit::QualityReport;
 use cfd::{CfdError, CfdResult};
 use detect::ViolationReport;
 use minidb::{RowId, Value};
-use serde::{Deserialize, Serialize};
 
 /// One mutation against the audited relation — the vocabulary shared by
 /// every backend's ingest path (the monitor's update stream, the sharded
 /// router, the wire protocol's batches).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mutation {
     /// Insert a new tuple; the backend assigns the next global row id.
     Insert(Vec<Value>),
@@ -37,7 +36,7 @@ pub enum Mutation {
 /// derived state: backends route and apply the whole batch in one pass and
 /// patch each touched snapshot once, instead of paying per-row epoch and
 /// copy-on-write bookkeeping (see `SnapshotCache::note_batch`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MutationBatch {
     /// The mutations, in application order. Later entries may reference
     /// rows inserted by earlier entries in the same batch.
@@ -81,7 +80,7 @@ impl FromIterator<Mutation> for MutationBatch {
 }
 
 /// What applying a [`MutationBatch`] did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchOutcome {
     /// Mutations applied (equals the batch length on success).
     pub applied: usize,
@@ -90,7 +89,7 @@ pub struct BatchOutcome {
 }
 
 /// What a backend can do, beyond the mandatory surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Capabilities {
     /// Human-readable backend name (e.g. `"quality-server"`).
     pub backend: String,
@@ -114,7 +113,7 @@ pub struct Capabilities {
 /// Wire-friendly summary of a repair pass (the full
 /// `repair::RepairResult`, with per-cell changes, stays available on the
 /// concrete server type).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepairSummary {
     /// Cell changes applied.
     pub changes: usize,

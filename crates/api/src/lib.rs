@@ -27,6 +27,7 @@
 //!
 //! [`QualityServer`]: https://docs.rs/semandaq-core
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -12,6 +12,7 @@
 //!   no per-cell map — [`classify`] is the per-cell API it agrees with;
 //! * [`charts`] — plain-text bar / stacked-bar / pie renderers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod charts;

@@ -15,6 +15,8 @@
 //! tracking. The file is merged, not overwritten: re-running one
 //! experiment updates its own entries and leaves the others' in place.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use api::{dispatch, Mutation, MutationBatch, QualityBackend, Request};

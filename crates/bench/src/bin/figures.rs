@@ -8,6 +8,8 @@
 //! Workload: the paper's customer relation, 10 000 tuples, 5% cell noise
 //! (seeded — output is fully deterministic).
 
+#![forbid(unsafe_code)]
+
 use audit::{quality_map, quality_report};
 use detect::detect_sql;
 use explore::{diff_tables, NavigationSession, ReviewSession};

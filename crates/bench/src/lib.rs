@@ -1,6 +1,7 @@
 //! Shared workload builders for the benchmark harness and the
 //! figure/experiment regeneration binaries.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cfd::parse::parse_cfds;

@@ -8,13 +8,12 @@
 use std::fmt;
 
 use minidb::{Schema, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{CfdError, CfdResult};
 use crate::pattern::Pattern;
 
 /// A plain functional dependency `X → A` (single RHS attribute).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Fd {
     /// Left-hand-side attribute names.
     pub lhs: Vec<String>,
@@ -29,7 +28,7 @@ impl fmt::Display for Fd {
 }
 
 /// A conditional functional dependency in normal form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cfd {
     /// Relation the CFD is declared on.
     pub relation: String,

@@ -16,6 +16,7 @@
 //! * [`dependency::group_into_tableaux`] + [`encode::encode_tableau`] — the
 //!   relational pattern-tableau encoding consumed by SQL-based detection.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cover;

@@ -3,10 +3,9 @@
 use std::fmt;
 
 use minidb::Value;
-use serde::{Deserialize, Serialize};
 
 /// One cell of a pattern tuple: a constant or the `_` wildcard.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// Matches exactly this value.
     Const(Value),

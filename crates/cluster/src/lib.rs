@@ -11,7 +11,7 @@
 //! * [`ShardedQualityServer`] — routes `insert` / `delete` / `update_cell`
 //!   to the owning shard, keeping each shard's epoch-versioned
 //!   [`colstore::SnapshotCache`] patched in lock-step; `detect()` scatters
-//!   per-CFD partial export across shards (`crossbeam` scoped threads,
+//!   per-CFD partial export across shards (the shared morsel pool,
 //!   per-shard memoization against column epochs) and gathers with the
 //!   partial-group merge of [`detect::exchange`].
 //! * [`ShardedQualityServer::repair`] — cross-shard repair (see
@@ -26,6 +26,7 @@
 //! embarrassingly parallel per row, and variable CFDs only conflict within
 //! an LHS group, so per-group partial aggregation loses nothing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod repair;

@@ -11,13 +11,14 @@
 //!
 //! Detection is scatter/gather:
 //!
-//! 1. **Scatter** — every shard (fanned out over `crossbeam` scoped
-//!    threads) exports one [`CfdPartial`] per CFD from its cached
-//!    snapshot: constant CFDs resolve fully shard-local; variable CFDs
-//!    export the per-group partial state of `detect::exchange`. Exports
-//!    are memoized per shard per CFD against the cache's per-column
-//!    epochs — a shard whose rows and relevant columns are untouched
-//!    since the last detect ships the same `Arc` again.
+//! 1. **Scatter** — every shard (fanned out over the shared morsel pool,
+//!    `colstore::morsel::run_morsels`) exports one [`CfdPartial`] per CFD
+//!    from its cached snapshot: constant CFDs resolve fully shard-local;
+//!    variable CFDs export the per-group partial state of
+//!    `detect::exchange`. Exports are memoized per shard per CFD against
+//!    the cache's per-column epochs — a shard whose rows and relevant
+//!    columns are untouched since the last detect ships the same `Arc`
+//!    again.
 //! 2. **Gather** — the coordinator merges the partials
 //!    ([`merge_cfd_partials`]): singles concatenate, groups union by LHS
 //!    key, and any merged group with ≥ 2 distinct RHS values becomes a
@@ -48,7 +49,7 @@ pub(crate) fn db_err(e: DbError) -> CfdError {
 }
 
 /// Global-registry handles for the exchange telemetry, resolved once per
-/// process. The scatter-side counters are bumped from the crossbeam worker
+/// process. The scatter-side counters are bumped from the morsel worker
 /// threads (the handles are plain atomics); the gather-side ones from the
 /// coordinator. After every detect, partials exported == partials merged —
 /// the gather loop consumes exactly what the scatter shipped (pinned by

@@ -33,6 +33,7 @@
 //!   re-encode. The steady-state engine under `QualityServer::detect`,
 //!   `DataMonitor` and `batch_repair`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod column;

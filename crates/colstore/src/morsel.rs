@@ -95,14 +95,14 @@ where
     let cursors: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let produced: Vec<Vec<(usize, T)>> = crossbeam::scope(|s| {
+    let produced: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let stripes = &stripes;
                 let cursors = &cursors;
                 let timed = &timed;
                 let trace_ctx = &trace_ctx;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let _trace = obs::trace::install(trace_ctx.as_ref());
                     let mut got: Vec<(usize, T)> = Vec::new();
                     // Drain the own stripe first, then sweep the victims.
@@ -130,8 +130,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("morsel worker does not panic"))
             .collect::<Vec<_>>()
-    })
-    .expect("morsel pool does not panic");
+    });
     for batch in produced {
         for (i, t) in batch {
             out[i] = Some(t);

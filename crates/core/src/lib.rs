@@ -25,6 +25,7 @@
 //! assert!(server.detect().unwrap().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -14,6 +14,7 @@
 //!
 //! Everything is seeded: the same config always yields the same bytes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod customer;

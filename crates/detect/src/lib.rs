@@ -18,6 +18,7 @@
 //! exactly (constant CFDs shard-local, variable CFDs via per-group
 //! partial states).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exchange;

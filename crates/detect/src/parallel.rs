@@ -1,12 +1,13 @@
 //! Parallel native detection: one task per CFD, merged at the end.
 //!
 //! Detection across CFDs is embarrassingly parallel (each CFD scans the
-//! table independently); `crossbeam::scope` lets the workers borrow the
+//! table independently); `std::thread::scope` lets the workers borrow the
 //! table without reference counting.
+
+use std::sync::Mutex;
 
 use cfd::{BoundCfd, Cfd, CfdResult};
 use minidb::Table;
-use parking_lot::Mutex;
 
 use crate::native::detect_one;
 use crate::violation::ViolationReport;
@@ -23,21 +24,23 @@ pub fn detect_parallel(table: &Table, cfds: &[Cfd], threads: usize) -> CfdResult
     let threads = threads.max(1).min(bound.len().max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, ViolationReport)>> = Mutex::new(Vec::new());
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= bound.len() {
                     break;
                 }
                 let mut local = ViolationReport::default();
                 detect_one(table, i, &bound[i], &mut local);
-                results.lock().push((i, local));
+                results
+                    .lock()
+                    .expect("detection worker panicked")
+                    .push((i, local));
             });
         }
-    })
-    .expect("detection workers do not panic");
-    let mut parts = results.into_inner();
+    });
+    let mut parts = results.into_inner().expect("detection worker panicked");
     parts.sort_by_key(|(i, _)| *i);
     let mut report = ViolationReport::default();
     for (_, part) in parts {

@@ -12,6 +12,7 @@
 //!   constant/wildcard LHS patterns, subsumption-pruned;
 //! * [`validate`] — consistency checking of discovered rule sets.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cfdminer;

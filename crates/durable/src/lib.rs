@@ -22,6 +22,8 @@
 //! characters, non-finite floats — see the codec audit tests in `api`)
 //! and stays greppable with stock tools.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod crc;
 pub mod pages;

@@ -13,6 +13,7 @@
 //!   accept/override, and incremental re-detection after overrides;
 //! * [`render`] — the shared ASCII table renderer.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod inspect;

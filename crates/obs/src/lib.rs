@@ -30,6 +30,8 @@
 //! Metric names may embed a literal label set (`requests_total{kind="x"}`);
 //! histogram readouts splice their `quantile` label into it.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

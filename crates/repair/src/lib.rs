@@ -17,6 +17,7 @@
 //! * [`alternatives`] — ranked candidate fixes per cell (Fig 5's pop-up);
 //! * [`quality`] — precision/recall scoring against ground truth (E5).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alternatives;

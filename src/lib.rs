@@ -22,14 +22,17 @@
 //!   log with startup replay and checkpointing (`Durable`), plus the
 //!   paged cold-chunk spill store (`PagedStore`) behind a clock-eviction
 //!   buffer pool.
-//! * [`net`] — the TCP service tier: a single-writer / lock-free
-//!   multi-reader `ConcurrentEngine` over any backend, a newline-framed
+//! * [`net`] — the TCP service tier: a single-writer / multi-reader
+//!   `ConcurrentEngine` over any backend (reads hold a mutex only for an
+//!   `Arc` clone of the latest published epoch), a newline-framed
 //!   `NetServer` transport, and a blocking `Client`.
 //! * [`obs`] — zero-dependency telemetry: counters, gauges, latency
 //!   histograms and span timers on a global registry, snapshotted as a
 //!   `MetricsReport` (also served over the wire via `Request::Metrics`).
 //! * [`system`] (re-export of `semandaq-core`) — the assembled system:
 //!   constraint engine, quality server, data monitor.
+
+#![forbid(unsafe_code)]
 
 pub use api;
 pub use audit;

@@ -221,7 +221,7 @@ fn capture_histogram_counts_every_epoch() {
         ShardedQualityServer::partition(t, 2, Box::new(RoundRobinRouter::default())).unwrap();
     cluster.register_cfds(d.cfds.clone()).unwrap();
     let engine = ConcurrentEngine::new(cluster, EngineConfig::default());
-    let handle = engine.handle().unwrap();
+    let handle = engine.handle();
     let donor: Vec<Value> = t.iter().next().unwrap().1.to_vec();
     for i in 0..5u64 {
         let write = if i % 2 == 0 {
