@@ -15,6 +15,8 @@
 //! encoded, which is what lets the round-trip tests assert equality on
 //! every variant.
 
+use std::sync::{Arc, OnceLock};
+
 use cfd::{CfdError, CfdResult};
 use detect::ViolationReport;
 use minidb::{RowId, Value};
@@ -74,25 +76,47 @@ pub enum Request {
     Trace,
 }
 
+/// Every request's wire op name, indexed by `Request::kind_index`.
+const KINDS: [&str; 13] = [
+    "register_cfds",
+    "insert",
+    "delete",
+    "update_cell",
+    "apply_batch",
+    "detect",
+    "audit",
+    "repair",
+    "last_report",
+    "len",
+    "capabilities",
+    "metrics",
+    "trace",
+];
+
 impl Request {
     /// The request's wire op name — also the `kind` label the dispatcher
     /// (and the network tier's per-connection counters) record per-request
     /// counters and latency histograms under.
     pub fn kind_str(&self) -> &'static str {
+        KINDS[self.kind_index()]
+    }
+
+    /// The request's position in [`KINDS`].
+    fn kind_index(&self) -> usize {
         match self {
-            Request::RegisterCfds { .. } => "register_cfds",
-            Request::Insert { .. } => "insert",
-            Request::Delete { .. } => "delete",
-            Request::UpdateCell { .. } => "update_cell",
-            Request::ApplyBatch { .. } => "apply_batch",
-            Request::Detect => "detect",
-            Request::Audit => "audit",
-            Request::Repair => "repair",
-            Request::LastReport => "last_report",
-            Request::Len => "len",
-            Request::Capabilities => "capabilities",
-            Request::Metrics => "metrics",
-            Request::Trace => "trace",
+            Request::RegisterCfds { .. } => 0,
+            Request::Insert { .. } => 1,
+            Request::Delete { .. } => 2,
+            Request::UpdateCell { .. } => 3,
+            Request::ApplyBatch { .. } => 4,
+            Request::Detect => 5,
+            Request::Audit => 6,
+            Request::Repair => 7,
+            Request::LastReport => 8,
+            Request::Len => 9,
+            Request::Capabilities => 10,
+            Request::Metrics => 11,
+            Request::Trace => 12,
         }
     }
 
@@ -260,6 +284,23 @@ pub enum Response {
 
 // --------------------------------------------------------------- dispatch
 
+/// The `api_requests_total{kind=...}` counter and `api_request_ns{kind=...}`
+/// histogram of `request`'s kind, resolved from the registry once per kind
+/// per process (at the kind's first dispatch, as a per-request lookup
+/// would register them).
+fn request_obs(request: &Request) -> &'static (Arc<obs::Counter>, Arc<obs::Histogram>) {
+    type Handles = (Arc<obs::Counter>, Arc<obs::Histogram>);
+    static HANDLES: [OnceLock<Handles>; KINDS.len()] = [const { OnceLock::new() }; KINDS.len()];
+    let i = request.kind_index();
+    HANDLES[i].get_or_init(|| {
+        let kind = KINDS[i];
+        (
+            obs::counter(&format!("api_requests_total{{kind=\"{kind}\"}}")),
+            obs::histogram(&format!("api_request_ns{{kind=\"{kind}\"}}")),
+        )
+    })
+}
+
 /// Serve one request against a backend. Never panics and never returns
 /// `Err` — failures become [`Response::Error`], which is what a request
 /// loop wants to send back rather than tear down the connection.
@@ -274,9 +315,9 @@ pub fn dispatch(backend: &mut dyn QualityBackend, request: Request) -> Response 
             message: e.to_string(),
         }
     }
-    let kind = request.kind_str();
-    obs::counter(&format!("api_requests_total{{kind=\"{kind}\"}}")).inc();
-    let _span = obs::span(&format!("api_request_ns{{kind=\"{kind}\"}}"));
+    let (requests, latency) = request_obs(&request);
+    requests.inc();
+    let _span = obs::SpanTimer::new(Arc::clone(latency));
     // Root span of the request's trace (inert unless tracing is on). The
     // trace completes — and lands in the flight recorder — when this
     // guard drops, after the response is built; a `Request::Trace`

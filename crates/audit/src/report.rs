@@ -2,9 +2,10 @@
 //! chart), violation breakdown per CFD (pie chart), and headline numbers.
 
 use cfd::{BoundCfd, Cfd, CfdResult};
+use colstore::{ConstantCheck, Snapshot};
 use detect::fxhash::DistinctCounter;
 use detect::violation::{ViolationKind, ViolationReport};
-use minidb::{RowId, Schema, Value};
+use minidb::{RowId, Schema};
 
 use crate::charts::{pie_chart, stacked_bars};
 use crate::classify::{
@@ -47,26 +48,42 @@ fn class_slot(c: CleanClass) -> usize {
     }
 }
 
-/// Build the quality report over the live rows `rows` (of a relation
-/// with `schema`) under `cfds` and a detection `report`. A table caller
-/// passes `table.schema(), table.iter()`; a sharded caller streams every
-/// shard's rows, in any order.
+/// The columns the auditor reads — every column some CFD of `cfds`
+/// mentions, sorted and distinct. It is the projection the detector's
+/// snapshot encodes, so a cached detect snapshot serves the audit as is.
+pub fn audited_columns(schema: &Schema, cfds: &[Cfd]) -> CfdResult<Vec<usize>> {
+    let bound: Vec<BoundCfd> = cfds
+        .iter()
+        .map(|c| c.bind(schema))
+        .collect::<CfdResult<_>>()?;
+    Ok(constrained_columns(&bound))
+}
+
+/// Build the quality report over the live rows of `snapshots` (columnar
+/// snapshots of a relation with `schema`) under `cfds` and a detection
+/// `report`. A table caller passes one snapshot (`Snapshot::projected`
+/// onto [`audited_columns`]); a sharded caller passes every shard's
+/// cached snapshot, in any order. Panics if a snapshot does not encode a
+/// column some constant-RHS CFD reads.
 ///
-/// One counting pass, equal to tallying [`crate::classify`]'s per-tuple
-/// and per-cell classes but without materializing them: involvement is
-/// marked in dense byte flags indexed by [`RowId`] (one per implicated
-/// row and one per implicated row × constrained column; ids past the
-/// largest implicated one are uninvolved), then each row runs the
-/// constant-RHS "verified" check and is counted straight into the class
-/// totals. Cost: O(live rows × constant-RHS CFDs + violation members).
+/// One counting pass, equal to tallying [`crate::classify()`]'s
+/// per-tuple and per-cell classes but without materializing them:
+/// involvement is marked in dense byte flags indexed by [`RowId`] (one
+/// per implicated row and one per implicated row × constrained column;
+/// ids past the largest implicated one are uninvolved). Then each
+/// snapshot is walked chunk by chunk: every constant-RHS CFD's "verified"
+/// check is a dictionary-code compare ([`ConstantCheck`]), and each
+/// position is counted through its row id straight into the class
+/// totals — no row is decoded. Cost: O(live rows × constant-RHS CFDs +
+/// violation members).
 pub fn quality_report<'a, I>(
     schema: &Schema,
-    rows: I,
+    snapshots: I,
     cfds: &[Cfd],
     report: &ViolationReport,
 ) -> CfdResult<QualityReport>
 where
-    I: IntoIterator<Item = (RowId, &'a [Value])>,
+    I: IntoIterator<Item = &'a Snapshot>,
 {
     let bound: Vec<BoundCfd> = cfds
         .iter()
@@ -122,33 +139,59 @@ where
         }
     }
 
-    // Pass 2: stream the rows once, grading and counting each.
+    // Pass 2: per snapshot chunk, flag the verified cells in code space,
+    // then grade and count every position.
     let constant_rhs: Vec<usize> = (0..bound.len())
         .filter(|&i| bound[i].cfd.rhs_pat.constant().is_some())
         .collect();
+    // The class slot of `grade(involvement, verified)`, indexed by
+    // `involvement | verified << 3` (involvement uses the low 3 bits).
+    let class_of: [usize; 16] = std::array::from_fn(|x| class_slot(grade(x as u8 & 7, x & 8 != 0)));
     let uninvolved = vec![0u8; k];
-    let mut verified_cells = vec![false; k];
+    // Per position, one verified byte per constrained column (at least
+    // one, so a CFD-free audit still has a row stride).
+    let stride = k.max(1);
+    let mut hits: Vec<u8> = Vec::new();
+    let mut verified: Vec<u8> = Vec::new();
     let mut tuples = 0usize;
     let mut tuple_classes = [0usize; 4];
     let mut cell_classes = vec![[0usize; 4]; k];
-    for (id, row) in rows {
-        tuples += 1;
-        let mut verified_row = false;
-        verified_cells.fill(false);
-        for &i in &constant_rhs {
-            if bound[i].lhs_matches(row) && bound[i].rhs_matches(row) {
-                verified_row = true;
-                for &s in &slots[i] {
-                    verified_cells[s] = true;
+    for snap in snapshots {
+        let checks: Vec<(ConstantCheck, &[usize])> = constant_rhs
+            .iter()
+            .filter_map(|&i| ConstantCheck::new(snap, &bound[i]).map(|c| (c, &slots[i][..])))
+            .collect();
+        let ids = snap.row_ids();
+        tuples += ids.len();
+        // Newest chunk first: a detect's last scans leave the newest
+        // spilled chunks in the spill buffer pool, so a spilled snapshot
+        // reads those before they are evicted.
+        for (ci, chunk_ids) in ids.chunks(snap.chunk_rows()).enumerate().rev() {
+            let len = chunk_ids.len();
+            hits.resize(len, 0);
+            verified.clear();
+            verified.resize(len * stride, 0);
+            for (check, cols) in &checks {
+                check.scan_chunk(ci, &mut hits);
+                for (cells, &h) in verified.chunks_exact_mut(stride).zip(&hits) {
+                    for &s in *cols {
+                        cells[s] |= h;
+                    }
                 }
             }
-        }
-        let at = id.index();
-        let inv = row_inv.get(at).copied().unwrap_or(0);
-        let cells = cell_inv.get(at * k..(at + 1) * k).unwrap_or(&uninvolved);
-        tuple_classes[class_slot(grade(inv, verified_row))] += 1;
-        for s in 0..k {
-            cell_classes[s][class_slot(grade(cells[s], verified_cells[s]))] += 1;
+            for (id, ver) in chunk_ids.iter().zip(verified.chunks_exact(stride)) {
+                let at = id.index();
+                let cells = cell_inv.get(at * k..(at + 1) * k).unwrap_or(&uninvolved);
+                // Every verifying CFD flags its RHS cell, so the row is
+                // verified iff one of its cells is.
+                let mut any = 0u8;
+                for ((counts, &inv), &v) in cell_classes.iter_mut().zip(cells).zip(ver) {
+                    any |= v;
+                    counts[class_of[usize::from(inv | v << 3)]] += 1;
+                }
+                let inv = row_inv.get(at).copied().unwrap_or(0);
+                tuple_classes[class_of[usize::from(inv | any << 3)]] += 1;
+            }
         }
     }
 
@@ -248,7 +291,13 @@ mod tests {
         HospConfig, NoiseConfig,
     };
     use detect::detect_native;
-    use minidb::Table;
+    use minidb::{Table, Value};
+
+    /// The auditor over one snapshot of the whole table.
+    fn audit_table(t: &Table, cfds: &[Cfd], det: &ViolationReport) -> QualityReport {
+        let snap = Snapshot::projected(t, &audited_columns(t.schema(), cfds).unwrap());
+        quality_report(t.schema(), [&snap], cfds, det).unwrap()
+    }
 
     /// The report recounted from [`classify`]'s per-tuple and per-cell
     /// maps — the materializing reference the counting pass must equal.
@@ -290,7 +339,7 @@ mod tests {
 
     fn assert_matches_reference(t: &Table, cfds: &[Cfd], what: &str) -> QualityReport {
         let det = detect_native(t, cfds).unwrap();
-        let counted = quality_report(t.schema(), t.iter(), cfds, &det).unwrap();
+        let counted = audit_table(t, cfds, &det);
         assert_eq!(counted, reference(t, cfds, &det), "{what}");
         counted
     }
@@ -410,7 +459,7 @@ mod tests {
         let d = dirty_customers(200, 0.05, 55);
         let t = d.db.table("customer").unwrap();
         let det = detect_native(t, &d.cfds).unwrap();
-        let r = quality_report(t.schema(), t.iter(), &d.cfds, &det).unwrap();
+        let r = audit_table(t, &d.cfds, &det);
         assert_eq!(r.tuples, 200);
         assert_eq!(r.tuple_classes.iter().sum::<usize>(), 200);
         assert!(r.tuple_classes[3] > 0, "5% noise must dirty something");
@@ -430,7 +479,7 @@ mod tests {
         let d = dirty_customers(100, 0.0, 4);
         let t = d.db.table("customer").unwrap();
         let det = detect_native(t, &d.cfds).unwrap();
-        let r = quality_report(t.schema(), t.iter(), &d.cfds, &det).unwrap();
+        let r = audit_table(t, &d.cfds, &det);
         assert_eq!(r.tuple_classes[2], 0);
         assert_eq!(r.tuple_classes[3], 0);
         // Everyone matches a CC → CNT constant rule, so all verified.
@@ -443,7 +492,7 @@ mod tests {
         let d = dirty_customers(80, 0.08, 2);
         let t = d.db.table("customer").unwrap();
         let det = detect_native(t, &d.cfds).unwrap();
-        let r = quality_report(t.schema(), t.iter(), &d.cfds, &det).unwrap();
+        let r = audit_table(t, &d.cfds, &det);
         let s = r.render();
         assert!(s.contains("data quality report"));
         assert!(s.contains("attribute-level classes"));

@@ -1,7 +1,8 @@
 //! F3/F4-adjacent: cost of the auditor (classification, report, quality
 //! map) and the explorer's drill-down over a detection result.
 
-use audit::{quality_map, quality_report};
+use audit::{audited_columns, quality_map, quality_report};
+use colstore::Snapshot;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use detect::detect_native;
 use explore::NavigationSession;
@@ -14,8 +15,9 @@ fn audit_costs(c: &mut Criterion) {
         let w = workload(rows, 0.05, 41);
         let t = w.db.table("customer").unwrap();
         let report = detect_native(t, &w.cfds).unwrap();
+        let snap = Snapshot::projected(t, &audited_columns(t.schema(), &w.cfds).unwrap());
         group.bench_with_input(BenchmarkId::new("quality_report", rows), &rows, |b, _| {
-            b.iter(|| quality_report(t.schema(), t.iter(), &w.cfds, &report).unwrap())
+            b.iter(|| quality_report(t.schema(), [&snap], &w.cfds, &report).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("quality_map", rows), &rows, |b, _| {
             b.iter(|| quality_map(t, &report))

@@ -10,7 +10,8 @@
 
 #![forbid(unsafe_code)]
 
-use audit::{quality_map, quality_report};
+use audit::{audited_columns, quality_map, quality_report};
+use colstore::Snapshot;
 use detect::detect_sql;
 use explore::{diff_tables, NavigationSession, ReviewSession};
 use minidb::Value;
@@ -83,7 +84,8 @@ fn main() {
     if wanted("fig4") {
         println!("=== Figure 4: data quality report ===");
         let table = w.db.table("customer").unwrap();
-        let audit = quality_report(table.schema(), table.iter(), &w.cfds, &report).unwrap();
+        let snap = Snapshot::projected(table, &audited_columns(table.schema(), &w.cfds).unwrap());
+        let audit = quality_report(table.schema(), [&snap], &w.cfds, &report).unwrap();
         print!("{}", audit.render());
         println!();
     }

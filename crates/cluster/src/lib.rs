@@ -15,7 +15,7 @@
 //!   per-shard memoization against column epochs) and gathers with the
 //!   partial-group merge of [`detect::exchange`].
 //! * [`ShardedQualityServer::repair`] — cross-shard repair (see
-//!   [`repair`](crate::repair)): each round detects through the exchange,
+//!   [`repair`]): each round detects through the exchange,
 //!   builds **global** equivalence classes over the merged per-group
 //!   partials with the shared plan/resolve core of `repair::rounds`, and
 //!   routes the cell changes back as per-shard snapshot patch batches —

@@ -34,10 +34,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
-use audit::{quality_report, QualityReport};
+use audit::{audited_columns, quality_report, QualityReport};
 use cfd::parse::parse_cfds;
 use cfd::{BoundCfd, Cfd, CfdError, CfdResult};
-use colstore::{cfd_partial_one, SnapshotCache, TableDelta};
+use colstore::{cfd_partial_one, Snapshot, SnapshotCache, TableDelta};
 use detect::exchange::{merge_cfd_partials, CfdPartial};
 use detect::ViolationReport;
 use minidb::{DbError, RowId, Schema, Table, Value};
@@ -667,27 +667,30 @@ impl ShardedQualityServer {
     /// Data auditor over the sharded relation: the Fig. 4 quality report,
     /// built on the merged scatter/gather detection report (runs a detect
     /// first if no report is cached). The auditor borrows the cached
-    /// report and streams every shard's rows in place — rows carry their
-    /// global ids, so the counts equal the single-node auditor's over the
-    /// union of the shards, with no merged table, sort or report clone.
+    /// report and counts over every shard's cached snapshot in place —
+    /// the one the detect just served, so no encode — and rows carry
+    /// their global ids, so the counts equal the single-node auditor's
+    /// over the union of the shards, with no merged table, sort, report
+    /// clone or decoded row.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
         if self.last_report.is_none() {
             self.detect()?;
         }
+        let cols = audited_columns(&self.schema, &self.cfds)?;
+        let snaps: Vec<Arc<Snapshot>> = self
+            .shards
+            .iter_mut()
+            .map(|s| s.cache.snapshot_projected(&s.table, &cols))
+            .collect();
         let report = self.last_report.as_ref().expect("detect caches its report");
-        quality_report(
-            &self.schema,
-            self.shards.iter().flat_map(|s| s.table.iter()),
-            &self.cfds,
-            report,
-        )
+        quality_report(&self.schema, snaps.iter().map(|s| &**s), &self.cfds, report)
     }
 
     /// Materialize the union of the shards as one table, every row under
     /// its global id — exactly the table a single-node server over the
     /// same data would hold. O(rows); for tests, examples and conformance
     /// checks only — neither detection (which exchanges compact per-group
-    /// partials) nor the auditor (which streams the shards) builds it.
+    /// partials) nor the auditor (which counts over the shards' snapshots) builds it.
     pub fn merged_table(&self) -> CfdResult<Table> {
         let mut rows: Vec<(RowId, &[Value])> =
             self.shards.iter().flat_map(|s| s.table.iter()).collect();
@@ -1026,7 +1029,8 @@ mod tests {
         let d = datagen::dirty_customers(400, 0.06, 50);
         let single = |t: &Table| {
             let report = detect_columnar(t, &d.cfds).unwrap();
-            audit::quality_report(t.schema(), t.iter(), &d.cfds, &report).unwrap()
+            let snap = Snapshot::of(t);
+            audit::quality_report(t.schema(), [&snap], &d.cfds, &report).unwrap()
         };
         for n in [1usize, 2, 4] {
             let mut t = d.db.table("customer").unwrap().clone();

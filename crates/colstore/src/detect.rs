@@ -97,6 +97,20 @@ pub(crate) struct Resolved {
     rhs_code: Option<u32>,
 }
 
+impl Resolved {
+    /// The LHS equality filters as `(column, code)`. Wild LHS cells of a
+    /// constant-RHS CFD match every row, so they drop out.
+    fn filters<'s>(&self, snap: &'s Snapshot) -> Vec<(&'s Column, u32)> {
+        self.cells
+            .iter()
+            .filter_map(|c| match c {
+                LhsCell::Filter { col, code } => Some((snap.column(*col), *code)),
+                LhsCell::Wild { .. } => None,
+            })
+            .collect()
+    }
+}
+
 /// Resolve pattern constants against the snapshot dictionaries. Returns
 /// `None` when some LHS constant does not occur in its column — then no row
 /// can match the pattern and the CFD holds vacuously.
@@ -305,15 +319,7 @@ pub(crate) fn detect_constant(
     obs::trace::note("path", "constant");
     obs::trace::note("chunks", rhs.n_chunks());
     let before = report.len();
-    let filters: Vec<(&Column, u32)> = r
-        .cells
-        .iter()
-        .filter_map(|c| match c {
-            LhsCell::Filter { col, code } => Some((snap.column(*col), *code)),
-            // Wild LHS cells of a constant-RHS CFD match every row.
-            LhsCell::Wild { .. } => None,
-        })
-        .collect();
+    let filters = r.filters(snap);
     // Codes are small sequential dictionary indices, so `u32::MAX` is a
     // safe never-matches stand-in for an RHS constant absent from the
     // dictionary (where every non-NULL code violates).
@@ -354,6 +360,47 @@ pub(crate) fn detect_constant(
         }
     }
     o.constant_violations.add((report.len() - before) as u64);
+}
+
+/// A constant-RHS CFD resolved against one snapshot's dictionaries, for
+/// the auditor's "verified" check: a row *satisfies* the rule when every
+/// LHS constant matches and its RHS code is the pattern constant's —
+/// [`BoundCfd::lhs_matches`] and [`BoundCfd::rhs_matches`] in code space
+/// (NULL is code 0 and never equals a constant's code).
+pub struct ConstantCheck<'s> {
+    filters: Vec<(&'s Column, u32)>,
+    rhs: &'s Column,
+    rhs_code: u32,
+}
+
+impl<'s> ConstantCheck<'s> {
+    /// Resolve `b` against `snap`, which must encode every column `b`
+    /// reads. `None` when no row of `snap` can satisfy it: a variable
+    /// RHS, or an LHS or RHS constant that is NULL or absent from its
+    /// column's dictionary.
+    pub fn new(snap: &'s Snapshot, b: &BoundCfd) -> Option<ConstantCheck<'s>> {
+        let r = resolve(snap, b)?;
+        let rhs_code = r.rhs_code.filter(|&c| c != NULL_CODE)?;
+        Some(ConstantCheck {
+            filters: r.filters(snap),
+            rhs: snap.column(r.rhs_col),
+            rhs_code,
+        })
+    }
+
+    /// Set `hits[i]` to 1 when position `ci * chunk_rows + i` satisfies
+    /// the rule and to 0 otherwise; `hits` is as long as chunk `ci`.
+    /// Branch-free byte compares, one pass per column read.
+    pub fn scan_chunk(&self, ci: usize, hits: &mut [u8]) {
+        for (h, &c) in hits.iter_mut().zip(self.rhs.chunk(ci).iter()) {
+            *h = u8::from(c == self.rhs_code);
+        }
+        for (col, code) in &self.filters {
+            for (h, &fv) in hits.iter_mut().zip(col.chunk(ci).iter()) {
+                *h &= u8::from(fv == *code);
+            }
+        }
+    }
 }
 
 /// Accumulator for one LHS group (non-NULL RHS members only).
@@ -765,7 +812,9 @@ fn group_by_codes_range(
     let scan = Scan::new(snap, r);
     let rhs = snap.column(r.rhs_col);
     let chunk_rows = rhs.chunk_rows();
-    let n: usize = chunks.clone().map(|ci| rhs.chunk(ci).len()).sum();
+    // Every chunk but the last is full, so the row count needs no chunk
+    // read (reading one would fault a spilled chunk in just for its length).
+    let n = (chunks.end * chunk_rows).min(rhs.len()) - (chunks.start * chunk_rows).min(rhs.len());
 
     if let Some(total_bits) = scan.packed_bits() {
         // Dense path: when the packed key space is small relative to the

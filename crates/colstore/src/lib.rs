@@ -17,7 +17,7 @@
 //! * [`detect_columnar`] / [`detect_on_snapshot`] — constant CFDs by
 //!   branch-free code comparison over chunks, variable CFDs by grouping
 //!   packed `u64` (or wide `[u32]`) LHS code keys. Returns reports
-//!   `normalized()`-equal to [`detect::detect_native`] on every instance.
+//!   `normalized()`-equal to [`detect_native`](::detect::detect_native) on every instance.
 //! * [`detect_on_snapshot_threads`] / [`detect_cached_threads`] — the same
 //!   detection fanned out as (CFD × chunk) morsels over the work-stealing
 //!   pool in [`morsel`]; per-chunk partials merge through the shard
@@ -48,6 +48,7 @@ pub use self::column::{default_chunk_rows, Column, ColumnBuilder};
 pub use self::detect::{
     build_incremental, cfd_partial_one, cfd_partials, detect_columnar, detect_columnar_threads,
     detect_on_snapshot, detect_on_snapshot_threads, detect_one_columnar, seed_incremental,
+    ConstantCheck,
 };
 pub use self::dictionary::{Dictionary, NULL_CODE};
 pub use self::lifecycle::{detect_cached, detect_cached_threads, SnapshotCache, TableDelta};

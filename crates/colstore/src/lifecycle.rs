@@ -487,7 +487,7 @@ impl SnapshotCache {
     ///
     /// * one epoch-gap check for the whole batch;
     /// * insert runs appended with one copy-on-write unsharing and one
-    ///   reservation per column ([`Snapshot::append_rows`]);
+    ///   reservation per column (`Snapshot::append_rows`);
     /// * **batch-local position resolution**: the batch knows every row
     ///   it touches up front, so when the cache's persistent `RowId → pos`
     ///   index was never built, the targets are resolved in a single scan

@@ -295,7 +295,8 @@ impl QualityBackend for DataMonitor {
     fn audit(&mut self) -> CfdResult<QualityReport> {
         let report = self.detector.report();
         let table = self.db.table(&self.relation).map_err(db_err)?;
-        quality_report(table.schema(), table.iter(), &self.cfds, &report)
+        let snap = self.snapshots.snapshot(table);
+        quality_report(table.schema(), [&*snap], &self.cfds, &report)
     }
 
     fn last_report(&self) -> Option<ViolationReport> {

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
-use audit::{quality_map, quality_report, QualityMap, QualityReport};
+use audit::{audited_columns, quality_map, quality_report, QualityMap, QualityReport};
 use cfd::{CfdError, CfdResult, Consistency};
 use colstore::{detect_cached_threads, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
 use detect::{detect_native, detect_parallel, detect_sql, ViolationReport};
@@ -341,10 +341,23 @@ impl QualityServer {
         Ok((self.table()?, self.engine.cfds(), report))
     }
 
-    /// Data auditor: the Fig. 4 quality report.
+    /// Data auditor: the Fig. 4 quality report, counted over the cached
+    /// columnar snapshot — under the columnar detector the one its detect
+    /// just used; under the others the first audit pays one encode and
+    /// later ones ride the patched snapshot.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
-        let (table, cfds, report) = self.with_report()?;
-        quality_report(table.schema(), table.iter(), cfds, report)
+        if self.last_report.is_none() {
+            self.detect()?;
+        }
+        // Disjoint field borrows: the cache is written while the database,
+        // the constraints and the cached report are only read.
+        let table = self.db.table(&self.relation).map_err(db_err)?;
+        let cfds = self.engine.cfds();
+        let snap = self
+            .snapshots
+            .snapshot_projected(table, &audited_columns(table.schema(), cfds)?);
+        let report = self.last_report.as_ref().expect("detect caches its report");
+        quality_report(table.schema(), [&*snap], cfds, report)
     }
 
     /// Data auditor: the Fig. 3 quality map.

@@ -8,7 +8,7 @@
 //! * [`native::detect_native`] — a direct hash-based reference detector
 //!   (cross-validates SQL detection; the baseline in experiment E1);
 //! * [`incremental::IncrementalDetector`] — group-indexed state maintained
-//!   under inserts/deletes/updates ([3] §7; experiment E3).
+//!   under inserts/deletes/updates (\[3\] §7; experiment E3).
 //!
 //! Plus [`parallel::detect_parallel`], which fans per-CFD native detection
 //! across threads — mirroring Semandaq's claim that its quality servers

@@ -55,8 +55,6 @@ struct WalObs {
     truncations: Arc<obs::Counter>,
 }
 
-// `wal_fsync_ns` has no named handle here: `obs::span("wal_fsync_ns")`
-// resolves the histogram from the global registry at each append.
 fn wal_obs() -> &'static WalObs {
     static OBS: OnceLock<WalObs> = OnceLock::new();
     OBS.get_or_init(|| WalObs {
@@ -65,6 +63,14 @@ fn wal_obs() -> &'static WalObs {
         replayed: obs::counter("wal_replayed_records_total"),
         truncations: obs::counter("wal_truncations_total"),
     })
+}
+
+/// `wal_fsync_ns`: one sample per fsynced append. Resolved at the first
+/// fsync (not with [`wal_obs`]), so a WAL that never syncs registers no
+/// histogram.
+fn fsync_ns() -> &'static Arc<obs::Histogram> {
+    static HIST: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
+    HIST.get_or_init(|| obs::histogram("wal_fsync_ns"))
 }
 
 /// How a scanned WAL ends.
@@ -321,7 +327,7 @@ impl Wal {
         }
         self.file.write_all(line)?;
         if self.sync {
-            let _t = obs::span("wal_fsync_ns");
+            let _t = obs::SpanTimer::new(Arc::clone(fsync_ns()));
             self.file.sync_data()?;
         }
         Ok(())

@@ -2,7 +2,7 @@
 //!
 //! Historically the detect→resolve round loop lived inside `batch.rs`,
 //! hard-wired to a `minidb::Database` plus a snapshot cache. Sharded
-//! repair needs the *same* loop — the resolution semantics of [8] must be
+//! repair needs the *same* loop — the resolution semantics of \[8\] must be
 //! byte-identical whether the relation lives in one heap table or is
 //! partitioned across cluster shards — so the loop is factored over a
 //! small storage surface, [`RepairStore`]:
@@ -16,7 +16,7 @@
 //!   derived state (cached snapshots, shard placement) in lock-step.
 //! * `value_counts` — distinct values with occurrence counts for the
 //!   active-domain pool, counted over dictionary codes instead of a
-//!   per-round row walk (see [`active_domains`]).
+//!   per-round row walk (see `active_domains`).
 //!
 //! [`repair_rounds`] then is the whole algorithm: constant violations
 //! first (they establish pins), variable groups merged into global
@@ -218,7 +218,7 @@ pub trait RepairStore {
     fn value_counts(&mut self, cols: &[usize]) -> CfdResult<Vec<(usize, ColumnCounts)>>;
 }
 
-/// Run the detect→resolve loop of [8] against `store` — see the module
+/// Run the detect→resolve loop of \[8\] against `store` — see the module
 /// docs. The change sequence is deterministic given the store's data:
 /// reports are normalized before resolution, and candidate orderings are
 /// value-sorted.

@@ -5,7 +5,8 @@
 //! cargo run --example customer_cleaning
 //! ```
 
-use semandaq::audit::{quality_map, quality_report};
+use semandaq::audit::{audited_columns, quality_map, quality_report};
+use semandaq::colstore::Snapshot;
 use semandaq::datagen::dirty_customers;
 use semandaq::detect::detect_sql;
 use semandaq::explore::{
@@ -62,7 +63,8 @@ fn main() {
     }
 
     // ---- Figure 4: the data quality report -------------------------------
-    let audit = quality_report(table.schema(), table.iter(), &w.cfds, &report).unwrap();
+    let snap = Snapshot::projected(table, &audited_columns(table.schema(), &w.cfds).unwrap());
+    let audit = quality_report(table.schema(), [&snap], &w.cfds, &report).unwrap();
     println!("\n-- Fig 4: data quality report --");
     print!("{}", audit.render());
 
